@@ -61,9 +61,6 @@ DOC_ANCHORS: dict[str, tuple[str, ...]] = {
         "content-addressed",
         "The lint layer",
         "repro.lint",
-        "Backend selection",
-        "kernels_numba",
-        "vectorized[numba]",
         "bit-exact",
         "The observability layer",
         "repro.obs",
@@ -75,7 +72,7 @@ DOC_ANCHORS: dict[str, tuple[str, ...]] = {
         "BENCH_",
         "emit_bench_json",
         "check_bench_regression",
-        "schema: 2",
+        "schema: 3",
         "bench-artifacts",
         "threshold",
     ),

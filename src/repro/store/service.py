@@ -39,6 +39,7 @@ import hashlib
 import json
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
 from .backend import BackendError
@@ -96,7 +97,19 @@ class SweepService:
     def _span(self, route: str):
         if self.tracer is None:
             return contextlib.nullcontext()
-        return self.tracer.span("serve", kind="http", route=route)
+        return self._traced_span(route)
+
+    @contextlib.contextmanager
+    def _traced_span(self, route: str) -> Iterator[None]:
+        assert self.tracer is not None
+        with self.tracer.span("serve", kind="http", route=route):
+            try:
+                yield
+            except Exception as exc:
+                # the 500 itself is built by handle(); mark the span here,
+                # while it is still the innermost one
+                self._annotate(status=500, error=type(exc).__name__)
+                raise
 
     def _annotate(self, **attrs: Any) -> None:
         if self.tracer is not None:
@@ -266,9 +279,19 @@ class SweepService:
         Returns
         -------
         (int, dict, bytes)
-            Status, response headers, response body.
+            Status, response headers, response body.  An uncaught
+            exception in a route becomes a 500 with a JSON ``error``
+            body, so a bad request never drops the connection.
         """
-        headers = {k.lower(): v for k, v in (headers or {}).items()}
+        try:
+            return self._route(method, path, body, headers or {})
+        except Exception as exc:
+            return self._error(500, f"internal error: {type(exc).__name__}: {exc}")
+
+    def _route(
+        self, method: str, path: str, body: bytes, headers: dict[str, str]
+    ) -> tuple[int, dict[str, str], bytes]:
+        headers = {k.lower(): v for k, v in headers.items()}
         parsed = urllib.parse.urlsplit(path)
         route = urllib.parse.unquote(parsed.path)
         inm = headers.get("if-none-match")

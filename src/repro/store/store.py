@@ -70,7 +70,8 @@ def parse_record(line: str) -> dict[str, Any]:
 
     The one definition of "a valid record" — shared by the load path
     (which skips invalid lines with a warning) and by ``sweep fsck``
-    (which reports them).
+    (which reports them).  It requires every field :func:`record_row`
+    reads, so one thin record can never break a whole frame.
 
     Parameters
     ----------
@@ -101,7 +102,21 @@ def parse_record(line: str) -> dict[str, Any]:
         f not in record["result"] for f in _RESULT_FIELDS
     ):
         raise ValueError("missing result fields")
+    key = record["key"]
+    if not (
+        _has_fields(key, ("process", "metric", "trials", "graph", "seed", "params"))
+        and _has_fields(key["graph"], ("builder", "params"))
+        and _has_fields(key["seed"], ("root", "kind"))
+        and isinstance(key["params"], dict)
+        and isinstance(key["graph"]["params"], dict)
+    ):
+        raise ValueError("missing key fields")
     return record
+
+
+def _has_fields(value: Any, fields: tuple[str, ...]) -> bool:
+    """Whether *value* is a dict holding every name in *fields*."""
+    return isinstance(value, dict) and all(f in value for f in fields)
 
 
 def _summary_payload(summary: TrialSummary) -> dict[str, Any]:

@@ -28,6 +28,7 @@ from repro.sim import (
     set_default_processes,
     simulate,
 )
+from repro.sim.facade import select_execution_path
 from repro.sim.rng import spawn_seeds
 from repro.graphs import cycle_graph, grid, kary_tree, star_graph
 from repro.walks import (
@@ -258,6 +259,15 @@ class TestRunBatch:
             set_default_processes(None)
         with pytest.raises(ValueError):
             set_default_processes(0)
+
+
+class TestSelectExecutionPath:
+    def test_returns_each_path(self):
+        spec = get_process("cobra")
+        assert select_execution_path(spec, "cover") == "vectorized"
+        assert select_execution_path(spec, "cover", shards=3) == "sharded"
+        assert select_execution_path(spec, "cover", processes=4) == "pool"
+        assert select_execution_path(spec, "cover", strategy="serial") == "serial"
 
 
 class TestBatchedEngine:

@@ -8,6 +8,8 @@ conditional blob seam ``HTTPCASBackend`` speaks.  One class boots a
 real ``make_server()`` and re-proves the core flows over loopback.
 """
 
+import hashlib
+import http.client
 import json
 import threading
 import urllib.error
@@ -25,8 +27,10 @@ from repro.store import (
     SeedPolicy,
     SweepSpec,
     drain,
+    fsck,
 )
 from repro.store.service import SweepService, make_server
+from repro.store.spec import canonical_json
 
 
 def _spec(**over):
@@ -212,6 +216,30 @@ class TestBlobRoutes:
         assert service.handle("PUT", "/frame")[0] == 405
 
 
+class TestBadRecords:
+    def test_thin_key_record_is_skipped_by_frame_and_flagged_by_fsck(self):
+        """A record whose key lacks fields Frame rows read must not
+        break /frame: the load skips it with a warning, fsck flags it."""
+        backend = InMemoryCASBackend()
+        spec = _spec()
+        drain(spec, ResultStore(backend=backend), owner="w0")
+        thin_key = {"process": "cobra", "schema": 1}
+        h = hashlib.sha256(canonical_json(thin_key).encode()).hexdigest()
+        result = ResultStore(backend=backend).get(spec.expand()[0])["result"]
+        backend.append_line(
+            f"shards/{h[:2]}.jsonl",
+            json.dumps({"hash": h, "key": thin_key, "result": result}),
+        )
+        store = ResultStore(backend=backend)
+        with pytest.warns(UserWarning, match="corrupt"):
+            status, _, body = SweepService(store).handle("GET", "/frame")
+        assert status == 200
+        frame = Frame.from_json(body.decode("utf-8"))
+        assert sorted(frame.column("hash")) == sorted(k.hash for k in spec.expand())
+        report = fsck(store)
+        assert report.corrupt_lines == {h[:2]: 1} and not report.clean
+
+
 class TestSpans:
     def test_requests_emit_http_spans(self):
         from repro.obs import load_events, tracer_for_store
@@ -226,6 +254,25 @@ class TestSpans:
         spans = [row for row in events.rows if row.get("kind") == "http"]
         assert len(spans) == 1
         assert spans[0]["route"] == "/health"
+
+    def test_failed_request_is_a_500_and_an_error_span(self, monkeypatch):
+        from repro.obs import load_events, tracer_for_store
+
+        backend = InMemoryCASBackend()
+        store = ResultStore(backend=backend)
+        service = SweepService(
+            store, tracer=tracer_for_store(backend, worker="srv")
+        )
+
+        def boom(**filters):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(store, "frame", boom)
+        status, headers, body = service.handle("GET", "/frame")
+        assert status == 500 and headers["Content-Type"] == "application/json"
+        assert "boom" in json.loads(body)["error"]
+        (span,) = [r for r in load_events(backend).rows if r.get("kind") == "http"]
+        assert span["status"] == 500 and span["error"] == "RuntimeError"
 
 
 class TestLiveServer:
@@ -272,3 +319,26 @@ class TestLiveServer:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req)
         assert exc.value.code == 304
+
+    def test_handler_error_is_a_readable_500_on_a_kept_connection(
+        self, live, monkeypatch
+    ):
+        url, _ = live
+        host, port = url.removeprefix("http://").split(":")
+
+        def boom(self, query, *, if_none_match=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(SweepService, "frame", boom)
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.request("GET", "/frame")
+            resp = conn.getresponse()
+            assert resp.status == 500
+            assert "boom" in json.loads(resp.read())["error"]
+            # the same keep-alive connection still serves the next request
+            conn.request("GET", "/health")
+            resp = conn.getresponse()
+            assert resp.status == 200 and json.loads(resp.read())["status"] == "ok"
+        finally:
+            conn.close()

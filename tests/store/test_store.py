@@ -216,3 +216,86 @@ class TestFrame:
         put_fake(store, cells[0], [1.0])
         with pytest.raises(ValueError, match="unknown aggregation"):
             store.frame().aggregate("k", agg="mode")
+
+
+class TestOldBackendRecords:
+    """Records stamped by the retired compiled backend still load.
+
+    ``backend`` was never hashed into cell keys, so an old record is
+    an ordinary record whose provenance names another backend.  New
+    records keep stamping ``backend: "numpy"``, so the Frame column and
+    the report grouping keep their meaning in mixed stores.
+    """
+
+    OLD_PROVENANCE = {
+        "sweep": "demo",
+        "engine": "vectorized[numba]",
+        "backend": "numba",
+        "worker": "old-host-1",
+        "wall_time_s": 0.2,
+        "phase_s": {"build_graph": 0.01, "lower": 0.01, "engine": 0.2},
+        "graph_name": "g",
+        "graph_n": 49,
+        "graph_kind": "csr",
+    }
+
+    @pytest.fixture()
+    def mixed(self, tmp_path):
+        from repro.store import Campaign
+
+        spec = SweepSpec(
+            name="demo",
+            process="cobra",
+            graph="grid",
+            graph_grid={"n": [6], "d": [2]},
+            trials=3,
+            seed=SeedPolicy(root=3),
+        )
+        old_key = SweepSpec(
+            name="demo",
+            process="cobra",
+            graph="grid",
+            graph_grid={"n": [8], "d": [2]},
+            trials=3,
+            seed=SeedPolicy(root=3),
+        ).expand()[0]
+        store = ResultStore(tmp_path / "s")
+        Campaign(spec, store).run()
+        store.put(
+            old_key,
+            summarize_trials(np.array([5.0, 6.0, 7.0])),
+            dict(self.OLD_PROVENANCE),
+        )
+        return ResultStore(tmp_path / "s"), spec.expand()[0], old_key
+
+    def test_new_records_stamp_numpy(self, mixed):
+        store, new_key, _ = mixed
+        prov = store.get(new_key)["provenance"]
+        assert prov["engine"] == "vectorized"
+        assert prov["backend"] == "numpy"
+
+    def test_old_record_loads_through_get_and_frame(self, mixed):
+        store, _, old_key = mixed
+        record = store.get(old_key)
+        assert record["provenance"]["backend"] == "numba"
+        assert record["result"]["mean"] == 6.0
+        rows = {row["hash"]: row for row in store.frame().rows}
+        assert rows[old_key.hash]["backend"] == "numba"
+        assert rows[old_key.hash]["engine"] == "vectorized[numba]"
+        assert sorted(store.frame().column("backend")) == ["numba", "numpy"]
+
+    def test_old_record_passes_fsck(self, mixed):
+        from repro.store import fsck
+
+        report = fsck(mixed[0])
+        assert report.clean and report.records == 2
+        assert not report.duplicates
+
+    def test_old_record_forms_its_own_report_group(self, mixed):
+        from repro.obs import build_report
+
+        report = build_report(mixed[0])
+        groups = {g["backend"]: g for g in report.groups}
+        assert set(groups) == {"numpy", "numba"}
+        assert groups["numba"]["cells"] == 1
+        assert groups["numba"]["max_worker"] == "old-host-1"

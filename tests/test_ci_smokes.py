@@ -93,7 +93,7 @@ class TestBenchEmit:
         )
         assert path.name == "BENCH_unit.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["bench"] == "unit" and doc["schema"] == 2
+        assert doc["bench"] == "unit" and doc["schema"] == 3
         assert doc["speedup"] == 3.5 and doc["created_unix"] > 0
 
     def test_stamps_the_execution_environment(self, tmp_path):
@@ -105,18 +105,8 @@ class TestBenchEmit:
         assert doc["hostname"] and isinstance(doc["hostname"], str)
         assert doc["cpu_count"] >= 1
         assert doc["numpy_version"] == numpy.__version__
-        # None when numba is absent, its version string when present —
-        # always stamped either way
-        assert "numba_version" in doc
-        assert doc["backend"] == "numpy"
-
-    def test_stamps_the_backend_that_ran(self, tmp_path):
-        emit = load_script("benchmarks/_emit.py")
-        path = emit.emit_bench_json(
-            "kern", {}, out_dir=str(tmp_path), backend="numba"
-        )
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["backend"] == "numba"
+        assert doc["machine"] and doc["python"]
+        assert "backend" not in doc
 
     def test_respects_bench_out_env(self, tmp_path, monkeypatch):
         emit = load_script("benchmarks/_emit.py")
@@ -145,7 +135,7 @@ class TestImplicitBudgetSmoke:
         "ci/smoke_implicit_budget.py",
         "ci/smoke_service.py",
         "benchmarks/bench_implicit.py",
-        "benchmarks/bench_kernels_numba.py",
+        "benchmarks/bench_engines.py",
         "ci/check_bench_regression.py",
     ],
 )
@@ -216,19 +206,19 @@ class TestBenchRegressionGate:
     def test_tracks_case_timings_and_skips_nulls(self, tmp_path, capsys):
         gate = load_script("ci/check_bench_regression.py")
         base = self._doc(
-            "k", cases=[{"engine": "cobra", "numpy_ms": 10.0, "numba_ms": None}]
+            "k", cases=[{"engine": "cobra", "numpy_ms": 10.0, "alt_ms": None}]
         )
         fresh = self._doc(
-            "k", cases=[{"engine": "cobra", "numpy_ms": 20.0, "numba_ms": None}]
+            "k", cases=[{"engine": "cobra", "numpy_ms": 20.0, "alt_ms": None}]
         )
         self._write(tmp_path / "base", base)
         self._write(tmp_path / "fresh", fresh)
         rc = gate.main(
             ["--fresh", str(tmp_path / "fresh"), "--baseline", str(tmp_path / "base")]
         )
-        assert rc == 1  # numpy_ms doubled; the null numba column is ignored
+        assert rc == 1  # numpy_ms doubled; the null alt_ms column is ignored
         out = capsys.readouterr().out
-        assert "cases[cobra].numpy_ms" in out and "numba_ms" not in out
+        assert "cases[cobra].numpy_ms" in out and "alt_ms" not in out
 
     def test_empty_fresh_directory_fails_hard(self, tmp_path, capsys):
         """Baselines committed but the fresh run emitted nothing at all:
@@ -261,16 +251,15 @@ class TestBenchRegressionGate:
         out = capsys.readouterr().out
         assert "warning" in out and "old" in out and "brand_new" in out
 
-    def test_committed_baselines_cover_the_compiled_backend(self):
-        """BENCH_kernels_numba.json is a committed, schema-2 baseline
-        with one case per benchmarked engine."""
-        doc = json.loads(
-            (REPO / "BENCH_kernels_numba.json").read_text(encoding="utf-8")
-        )
-        assert doc["schema"] == 2 and doc["trials"] == 64
+    def test_committed_engines_baseline_covers_every_case(self):
+        """BENCH_engines.json is a committed, schema-3 baseline with one
+        case per engine ``benchmarks/bench_engines.py`` times."""
+        doc = json.loads((REPO / "BENCH_engines.json").read_text(encoding="utf-8"))
+        assert doc["bench"] == "engines"
+        assert doc["schema"] == 3 and doc["trials"] == 64
         assert doc["n"] >= 100_000
         engines = {c["engine"] for c in doc["cases"]}
-        assert {"cobra", "parallel", "walt", "simple"} <= engines
+        assert engines == {"cobra", "parallel", "walt", "simple"}
         for case in doc["cases"]:
             assert case["numpy_ms"] > 0
 
