@@ -12,6 +12,9 @@ launched concurrently against one store.  Afterward:
 * every stored cell's values are **identical** to an uninterrupted
   single-worker ``Campaign.run()`` reference (content-derived seeds —
   worker placement cannot matter);
+* every stored cell's ``provenance.engine`` is
+  ``select_execution_path(get_process(process), metric)`` — the
+  execution path is a function of the cell key, not of worker flags;
 * the interleaved ``events.jsonl`` round-trips with **no torn lines**:
   exactly cells × phases phase records, every one attributed to one of
   the two workers, and every stored cell's provenance names the worker
@@ -77,6 +80,8 @@ def main(store_dir: str) -> int:
     int
         0 on success (assertions abort otherwise).
     """
+    from repro.sim.facade import select_execution_path
+    from repro.sim.processes import get_process
     from repro.store import Campaign, ResultStore, fsck
     from repro.store.sweeps import build_sweep
 
@@ -107,8 +112,9 @@ def main(store_dir: str) -> int:
     # fsck via the CLI: clean store is exit 0
     _wait(_sweep_cli("fsck", "--store", store_dir), "fsck")
 
-    # value-for-value identical to the single-worker reference, and
-    # provenance attributes every cell to the worker that computed it
+    # value-for-value identical to the single-worker reference, on the
+    # path the cell key selects, and provenance attributes every cell
+    # to the worker that computed it
     store = ResultStore(store_dir)
     for cell in cells:
         record = store.get(cell)
@@ -116,6 +122,11 @@ def main(store_dir: str) -> int:
         a = record["result"]["values"]
         b = reference.get(cell)["result"]["values"]
         assert a == b, f"cell {cell.hash[:12]} diverged across workers"
+        engine = select_execution_path(get_process(cell.process), cell.metric)
+        assert record["provenance"]["engine"] == engine, (
+            f"cell {cell.hash[:12]} ran on {record['provenance']['engine']!r}, "
+            f"its key selects {engine!r}"
+        )
         worker = record["provenance"]["worker"]
         assert worker.startswith("smoke-w"), (
             f"cell {cell.hash[:12]} attributed to {worker!r}"

@@ -6,7 +6,7 @@ Usage::
     cobra-experiments list
     cobra-experiments processes
     cobra-experiments run T3_grid [--scale quick|full] [--seed N]
-    cobra-experiments run all --scale full --processes 4
+    cobra-experiments run all --scale full
     cobra-experiments run T3_grid --json > t3.json
     cobra-experiments sweep list
     cobra-experiments sweep run T3_grid --store results/ [--max-cells N] [--workers 4]
@@ -26,8 +26,7 @@ Usage::
 Each run prints the experiment's tables and findings; ``run all``
 iterates the whole registry (this is how EXPERIMENTS.md numbers were
 produced).  ``--json`` emits a machine-readable findings dump instead
-of tables; ``--processes N`` fans Monte-Carlo trials out over a
-process pool via the :func:`repro.sim.facade.run_batch` default.
+of tables.
 
 The ``sweep`` subcommands drive the registered sweep declarations
 (:mod:`repro.store.sweeps`) against a **durable content-addressed
@@ -110,14 +109,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="emit one JSON document of findings/notes instead of tables",
     )
-    runp.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan Monte-Carlo trials out over N worker processes "
-        "(default: serial/vectorized)",
-    )
     sweepp = sub.add_parser(
         "sweep", help="declarative sweep campaigns over a durable result store"
     )
@@ -148,15 +139,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--scale", choices=("quick", "full"), default="quick")
         p.add_argument("--seed", type=int, default=0)
         if cmd in ("run", "work"):
-            p.add_argument(
-                "--shards", type=int, default=None, metavar="K",
-                help="run each cell on the sharded executor "
-                "(placement-independent, seed-for-seed stable)",
-            )
-            p.add_argument(
-                "--max-workers", type=int, default=None, metavar="M",
-                help="process-pool width for --shards",
-            )
             p.add_argument(
                 "--max-cells", type=int, default=None, metavar="N",
                 help="stop after computing N cells (incremental mode)",
@@ -290,11 +272,6 @@ def main(argv: list[str] | None = None) -> int:
             caps = ",".join(sorted(spec.capabilities))
             print(f"{spec.name:12s} [{caps}] {spec.description}")
         return 0
-
-    if args.processes is not None:
-        from ..sim import set_default_processes
-
-        set_default_processes(args.processes)
 
     ids = [e.id for e in all_experiments()] if args.id == "all" else [args.id]
     dump: dict[str, dict] = {}
@@ -500,8 +477,6 @@ def _sweep_dispatch(args: argparse.Namespace) -> int:
             owner=owner,
             ttl=args.ttl if args.ttl is not None else dispatch.DEFAULT_TTL,
             max_cells=args.max_cells,
-            shards=args.shards,
-            max_workers=args.max_workers,
             wait=args.wait,
             tracer=tracer,
         )
@@ -534,8 +509,8 @@ def _sweep_dispatch(args: argparse.Namespace) -> int:
         ran = cached = pending = 0
         for spec in specs:
             campaign = Campaign(
-                spec, store, shards=args.shards, max_workers=args.max_workers,
-                workers=args.workers, tracer=tracer, profile=args.profile,
+                spec, store, workers=args.workers, tracer=tracer,
+                profile=args.profile,
             )
             report = campaign.run(max_cells=budget)
             ran += len(report.ran)
@@ -679,8 +654,6 @@ def _work_loop_main(args: argparse.Namespace) -> int:
                     owner=owner,
                     ttl=ttl,
                     max_cells=args.max_cells,
-                    shards=args.shards,
-                    max_workers=args.max_workers,
                     wait=False,
                     tracer=tracer,
                 )

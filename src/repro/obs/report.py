@@ -8,7 +8,7 @@ claim ledger, and the ``events.jsonl`` log — into answers:
 
 * :func:`build_report` → :class:`StragglerReport`: per-cell wall times
   attributed to workers, p50/p95/max by ``(process, graph_kind,
-  backend)``, per-worker totals, and ledger health (reclaimed leases,
+  engine, backend)``, per-worker totals, and ledger health (reclaimed leases,
   double-computed cells) — rendered by the ``sweep report`` CLI verb;
 * :func:`render_top` / :func:`live_top`: a polling snapshot of a
   draining store — progress, live leases, the freshest events, and the
@@ -58,7 +58,10 @@ class StragglerReport:
         prefix), ``process``, ``graph_kind``, ``backend``, ``worker``,
         ``wall_s`` and per-phase ``t_*_s`` columns.
     groups : list of dict
-        p50/p95/max wall time per ``(process, graph_kind, backend)``.
+        p50/p95/max wall time per ``(process, graph_kind, engine,
+        backend)`` — the execution path is part of the group, since a
+        vectorized and a serial cell of one process differ by orders of
+        magnitude, and records from retired paths group on their own.
     workers : list of dict
         Per-worker attribution: cells computed, total/mean/max wall
         time, slowest cell.
@@ -106,10 +109,10 @@ class StragglerReport:
             _table(
                 self.groups,
                 [
-                    "process", "graph_kind", "backend", "cells",
+                    "process", "graph_kind", "engine", "backend", "cells",
                     "p50_s", "p95_s", "max_s", "max_cell", "max_worker",
                 ],
-                title="wall time by process/graph_kind/backend",
+                title="wall time by process/graph_kind/engine/backend",
             )
         )
         sections.append(
@@ -243,7 +246,7 @@ def build_report(
                 cell[name] = _round(value)
         report.cells.append(cell)
 
-    for key, sub in frame.groupby("process", "graph_kind", "backend"):
+    for key, sub in frame.groupby("process", "graph_kind", "engine", "backend"):
         walls = np.asarray(
             [w for w in sub.column("wall_time_s") if w is not None],
             dtype=np.float64,
@@ -253,11 +256,12 @@ def build_report(
         slowest = max(
             sub.rows, key=lambda r: r.get("wall_time_s") or 0.0
         )
-        process, graph_kind, backend = key
+        process, graph_kind, engine, backend = key
         report.groups.append(
             {
                 "process": process,
                 "graph_kind": graph_kind,
+                "engine": engine,
                 "backend": backend,
                 "cells": len(sub),
                 "p50_s": _round(float(np.percentile(walls, 50))),

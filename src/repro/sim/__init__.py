@@ -21,9 +21,7 @@ from .batch import (
 from .engine import SteppingProcess, run_process
 from .facade import (
     RunResult,
-    get_default_processes,
     run_batch,
-    set_default_processes,
     simulate,
 )
 from .montecarlo import TrialSummary, run_trials, summarize_trials
@@ -55,8 +53,6 @@ __all__ = [
     "RunResult",
     "simulate",
     "run_batch",
-    "set_default_processes",
-    "get_default_processes",
     "batched_biased_cover_trials",
     "batched_branching_cover_trials",
     "batched_coalescing_cover_trials",

@@ -17,14 +17,14 @@ own sweep loop.  Now::
 ``simulate`` drives any :class:`~repro.sim.processes.ProcessSpec` to a
 single :class:`RunResult`; seed-for-seed it reproduces the legacy
 per-process helper for the same ``(process, metric, seed)``.
-``run_batch`` replaces the per-process ``*_trials`` helpers: it fans
-out over the vectorized batched engine when the process has one for
-the metric (cover/spread: every cover-capable registered process;
-hit: cobra, simple, lazy), the sharded executor when ``shards`` is
-given (per-trial seed streams, placement-independent — see
-``docs/architecture.md``), a multiprocessing pool when
-``processes > 1``, or a serial seed-spawned loop otherwise, always
-returning one :class:`~repro.sim.montecarlo.TrialSummary`.
+``run_batch`` replaces the per-process ``*_trials`` helpers: it runs
+the vectorized batched engine when the process has one for the metric
+(cover/spread: every cover-capable registered process; hit: cobra,
+walt, simple, lazy, gossip), or a serial seed-spawned loop otherwise
+(see ``docs/architecture.md``), always returning one
+:class:`~repro.sim.montecarlo.TrialSummary`.  The path is a function
+of ``(process, metric, strategy)`` alone, so a stored cell's values
+never depend on how the caller was launched.
 """
 
 from __future__ import annotations
@@ -47,38 +47,7 @@ __all__ = [
     "simulate",
     "run_batch",
     "select_execution_path",
-    "set_default_processes",
-    "get_default_processes",
 ]
-
-#: process-pool fan-out applied when ``run_batch(processes=None)``;
-#: set from the CLI's ``--processes`` flag.
-_DEFAULT_PROCESSES: int | None = None
-
-
-def set_default_processes(processes: int | None) -> None:
-    """Set the default Monte-Carlo fan-out for :func:`run_batch`.
-
-    Parameters
-    ----------
-    processes : int or None
-        ``None`` or 1 = serial/vectorized; > 1 = pool of that size.
-    """
-    global _DEFAULT_PROCESSES
-    if processes is not None and processes < 1:
-        raise ValueError("processes must be >= 1 (or None)")
-    _DEFAULT_PROCESSES = processes
-
-
-def get_default_processes() -> int | None:
-    """Current default fan-out (see :func:`set_default_processes`).
-
-    Returns
-    -------
-    int or None
-        The installed pool width, or ``None`` for serial/vectorized.
-    """
-    return _DEFAULT_PROCESSES
 
 
 @dataclass
@@ -223,18 +192,15 @@ def _resolve_metric(spec: ProcessSpec, metric: str | None) -> str:
 
 
 def select_execution_path(
-    spec: ProcessSpec,
-    metric: str,
-    *,
-    strategy: str = "auto",
-    shards: int | None = None,
-    processes: int | None = None,
+    spec: ProcessSpec, metric: str, *, strategy: str = "auto"
 ) -> str:
     """The execution path :func:`run_batch` takes for these arguments.
 
     This is the *single* strategy-selection rule: ``run_batch`` calls
     it to pick its path, and :mod:`repro.store.campaign` calls it to
-    record truthful engine provenance — the two can't drift.
+    record truthful engine provenance — the two can't drift.  It reads
+    nothing but its arguments, so the path (and with it a cell's
+    values) is a function of the cell key.
 
     Parameters
     ----------
@@ -244,38 +210,24 @@ def select_execution_path(
         The resolved metric.
     strategy : str
         ``"auto"`` (default), ``"vectorized"``, or ``"serial"``.
-    shards : int or None
-        Sharded-executor request (wins over everything else).
-    processes : int or None
-        Effective pool width (the caller resolves the CLI default).
 
     Returns
     -------
     str
-        ``"sharded"``, ``"vectorized"``, ``"pool"``, or ``"serial"``.
+        ``"vectorized"`` or ``"serial"``.
     """
-    if shards is not None:
-        return "sharded"
     if metric in ("cover", "spread"):
         engine = spec.batch_cover
     elif metric == "hit":
         engine = spec.batch_hit
     else:
         engine = None
-    if strategy == "vectorized":
-        if engine is None:
-            raise ValueError(
-                f"process {spec.name!r} has no vectorized engine for metric {metric!r}"
-            )
+    if strategy == "vectorized" and engine is None:
+        raise ValueError(
+            f"process {spec.name!r} has no vectorized engine for metric {metric!r}"
+        )
+    if strategy != "serial" and engine is not None:
         return "vectorized"
-    if (
-        strategy == "auto"
-        and engine is not None
-        and (processes is None or processes <= 1)
-    ):
-        return "vectorized"
-    if processes is not None and processes > 1:
-        return "pool"
     return "serial"
 
 
@@ -441,7 +393,7 @@ def _batch_trial(
     max_steps,
     params: dict | None = None,
 ) -> float:
-    """Picklable per-trial worker for serial/pool fan-out.
+    """Per-trial worker of the serial path.
 
     Parameters
     ----------
@@ -467,97 +419,6 @@ def _batch_trial(
     ).value
 
 
-def _shard_worker(payload: tuple) -> list[float]:
-    """Picklable per-shard worker: run one contiguous block of trials.
-
-    Parameters
-    ----------
-    payload : tuple
-        ``(seeds, graph, proc_ref, metric, start, target, max_steps,
-        params)`` — *seeds* is the shard's slice of the per-trial
-        spawned seed list; everything else is static.
-
-    Returns
-    -------
-    list of float
-        One metric value per trial of the shard, in trial order.
-    """
-    seeds, graph, proc_ref, metric, start, target, max_steps, params = payload
-    return [
-        _batch_trial(s, graph, proc_ref, metric, start, target, max_steps, params)
-        for s in seeds
-    ]
-
-
-def _run_sharded(
-    graph: Graph,
-    proc_ref,
-    metric: str,
-    *,
-    trials: int,
-    start,
-    target,
-    seed: SeedLike,
-    max_steps,
-    params: dict,
-    shards: int,
-    max_workers: int | None,
-) -> TrialSummary:
-    """Sharded Monte-Carlo executor behind ``run_batch(shards=...)``.
-
-    The seed-spawning contract makes results placement-independent:
-    all *trials* per-trial seeds are spawned up front from *seed*
-    (exactly as the serial/pool paths spawn them), and shard ``j``
-    merely executes a contiguous slice of that list.  Trial ``i``
-    therefore consumes the identical RNG stream whether it runs
-    unsharded, in shard 0 of 1, or in shard 7 of 8 on another machine
-    — ``shards=k`` is seed-for-seed identical to ``shards=1`` and to
-    the unsharded serial path for every registered process.
-
-    Parameters
-    ----------
-    graph, proc_ref, metric, start, target, max_steps, params:
-        Static per-trial arguments (see :func:`_batch_trial`).
-    trials : int
-        Total trial count, split round-robin-free into ``shards``
-        contiguous blocks of near-equal size.
-    seed : SeedLike, optional
-        Parent seed for :func:`repro.sim.rng.spawn_seeds`.
-    shards : int or None
-        Number of blocks.
-    max_workers : int or None
-        Process-pool width (defaults to ``min(shards, cpu_count)``);
-        ``1`` executes every shard inline in this process.
-
-    Returns
-    -------
-    TrialSummary
-        Summary over all trials, in trial order.
-    """
-    import os
-
-    from .rng import spawn_seeds
-
-    seeds = spawn_seeds(seed, trials)
-    bounds = np.linspace(0, trials, shards + 1).astype(int)
-    payloads = [
-        (seeds[lo:hi], graph, proc_ref, metric, start, target, max_steps, params)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    if max_workers is None:
-        max_workers = min(len(payloads), os.cpu_count() or 1)
-    if max_workers <= 1 or len(payloads) == 1:
-        chunks = [_shard_worker(p) for p in payloads]
-    else:
-        from .montecarlo import _pool_context
-
-        with _pool_context().Pool(processes=max_workers) as pool:
-            chunks = pool.map(_shard_worker, payloads)
-    values = np.array([v for chunk in chunks for v in chunk], dtype=np.float64)
-    return summarize_trials(values)
-
-
 def run_batch(
     graph: Graph | NeighborOracle,
     process: str | ProcessSpec = "cobra",
@@ -568,23 +429,18 @@ def run_batch(
     target: int | None = None,
     seed: SeedLike = None,
     max_steps: int | None = None,
-    processes: int | None = None,
-    shards: int | None = None,
-    max_workers: int | None = None,
     strategy: str = "auto",
     **params: Any,
 ) -> TrialSummary:
     """Run *trials* independent trials and summarise the outcomes.
 
-    Strategy selection (``strategy="auto"``):
+    Strategy selection (``strategy="auto"``, see
+    :func:`select_execution_path`):
 
-    * the sharded executor when ``shards`` is given (see below);
     * the process's vectorized batched engine, when it has one for the
       metric — ``batch_cover`` for coverage/spread, ``batch_hit`` for
       hitting — all trials advance in one ``(trials, n)`` frontier, no
       per-trial Python loops;
-    * a :mod:`multiprocessing` pool when ``processes > 1`` (or a CLI
-      default was installed via :func:`set_default_processes`);
     * otherwise a serial loop over spawned per-trial seeds, which is
       seed-for-seed identical to the legacy ``*_trials`` helpers.
 
@@ -596,7 +452,7 @@ def run_batch(
     graph : Graph or NeighborOracle
         The graph to run on — a CSR :class:`Graph`, or an implicit
         :class:`~repro.graphs.implicit.NeighborOracle` (vectorized
-        path only: the serial/pool/sharded paths step CSR edge arrays).
+        path only: the serial path steps CSR edge arrays).
     process : str or ProcessSpec
         Registry name or a :class:`~repro.sim.processes.ProcessSpec`.
     trials : int
@@ -608,28 +464,12 @@ def run_batch(
         Start vertex (array for multi-source processes).
     target : int, optional
         Hit target, required for ``metric="hit"`` (validated before
-        any fan-out).
+        any trial runs).
     seed : SeedLike, optional
         The single root seed all per-trial (or engine) streams derive
         from.
     max_steps : int, optional
         Step budget per trial; defaults to the process's legacy budget.
-    processes : int or None
-        Pool width for the per-trial multiprocessing path (``None``/1
-        = no pool).  Mutually exclusive with *shards*.
-    shards : int or None
-        Split the trials into this many contiguous blocks and run them
-        on the sharded executor.  Per-trial seeds are spawned up front,
-        so results are **placement-independent**: ``shards=k`` is
-        seed-for-seed identical to ``shards=1``, to the unsharded
-        serial path, and to any ``max_workers`` — the contract that
-        lets shards move across worker processes or machines.  Sharded
-        runs use per-trial streams (the serial contract), not the
-        single interleaved stream of the vectorized engines; force
-        ``strategy="vectorized"`` only without shards.
-    max_workers : int or None
-        Process-pool width for the sharded executor (default
-        ``min(shards, cpu_count)``; ``1`` = inline, same values).
     strategy : str
         ``"auto"`` (default), ``"vectorized"``, or ``"serial"``.
     **params : Any
@@ -646,78 +486,21 @@ def run_batch(
         raise ValueError("need at least one trial")
     if strategy not in ("auto", "vectorized", "serial"):
         raise ValueError(f"unknown strategy {strategy!r}; use auto|vectorized|serial")
-    if shards is not None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if processes is not None:
-            raise ValueError(
-                "pass either shards= (sharded executor) or processes= "
-                "(per-trial pool), not both"
-            )
-        if strategy == "vectorized":
-            raise ValueError(
-                "sharded runs use the per-trial seed-spawning contract; "
-                "strategy='vectorized' cannot be sharded (drop shards= for "
-                "the single-stream vectorized engine)"
-            )
-    if max_workers is not None:
-        if shards is None:
-            raise ValueError("max_workers only applies to sharded runs (pass shards=)")
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
     if metric == "hit":
-        # validate here, before any fan-out: a bad target must fail fast
-        # in the caller, not deep inside pool workers
+        # validate here, before any trial runs: a bad target must fail
+        # fast in the caller, not deep inside an engine
         if target is None:
             raise ValueError("metric 'hit' needs a target vertex")
         if not (0 <= target < graph.n):
             raise ValueError("target out of range")
-    if processes is None and shards is None:
-        processes = _DEFAULT_PROCESSES
     if max_steps is None:
         max_steps = spec.default_budget(graph, params)
 
-    # registered specs travel by name (cheap to pickle across a pool);
-    # an unregistered spec is passed as the object itself — fine
-    # serially, and the pool path then needs the spec to be picklable
-    from .processes import _REGISTRY
-
-    proc_ref: str | ProcessSpec = (
-        spec.name if _REGISTRY.get(spec.name) is spec else spec
-    )
-
-    path = select_execution_path(
-        spec,
-        metric,
-        strategy=strategy,
-        shards=shards,
-        processes=processes,
-    )
+    path = select_execution_path(spec, metric, strategy=strategy)
     tracer = current_tracer()
     if tracer.enabled:
         tracer.annotate(
             engine_path=path, process=spec.name, metric=metric, trials=trials
-        )
-    if path != "vectorized" and not isinstance(graph, Graph):
-        raise ValueError(
-            f"the {path!r} execution path steps CSR edge arrays, which an "
-            "implicit NeighborOracle does not carry; use "
-            "strategy='vectorized' (drop shards=/processes=) or materialise "
-            "the graph with repro.graphs.to_csr(...)"
-        )
-    if path == "sharded":
-        return _run_sharded(
-            graph,
-            proc_ref,
-            metric,
-            trials=trials,
-            start=start,
-            target=target,
-            seed=seed,
-            max_steps=max_steps,
-            params=dict(params),
-            shards=shards,
-            max_workers=max_workers,
         )
 
     if path == "vectorized":
@@ -734,11 +517,17 @@ def run_batch(
         )
         return summarize_trials(np.asarray(values, dtype=np.float64))
 
+    if not isinstance(graph, Graph):
+        raise ValueError(
+            "the serial execution path steps CSR edge arrays, which an "
+            "implicit NeighborOracle does not carry; use "
+            "strategy='vectorized' or materialise the graph with "
+            "repro.graphs.to_csr(...)"
+        )
     return run_trials(
         _batch_trial,
         trials,
         seed=seed,
-        args=(graph, proc_ref, metric, start, target, max_steps),
+        args=(graph, spec, metric, start, target, max_steps),
         kwargs={"params": dict(params)},
-        processes=processes,
     )

@@ -1,10 +1,11 @@
-"""Monte-Carlo trial running, serial or multiprocess.
+"""Monte-Carlo trial running and the one trial-summary type.
 
-The pattern follows the HPC guides' batch idiom: a trial function
-receives a :class:`numpy.random.SeedSequence` (cheap to pickle) plus
-static arguments, and returns a float.  Parent-side code never ships
-generators or graphs per trial — graphs go once via the function's
-closure-free arguments so fork/spawn costs stay flat.
+A trial function receives its own spawned
+:class:`numpy.random.SeedSequence` plus static arguments and returns a
+float; :func:`run_trials` loops over the spawned seeds, so trial ``i``
+always consumes the same stream.  :func:`_pool_context` is the
+process-pool start method the cross-cell worker pool
+(``Campaign(workers=N)``) uses.
 """
 
 from __future__ import annotations
@@ -89,11 +90,6 @@ def summarize_trials(values: np.ndarray) -> TrialSummary:
     )
 
 
-def _worker(payload: tuple) -> float:
-    fn, seed, args, kwargs = payload
-    return float(fn(seed, *args, **kwargs))
-
-
 def run_trials(
     fn: Callable[..., float],
     trials: int,
@@ -101,26 +97,18 @@ def run_trials(
     seed: SeedLike = None,
     args: Sequence[Any] = (),
     kwargs: dict | None = None,
-    processes: int | None = None,
 ) -> TrialSummary:
     """Run ``fn(seed_sequence, *args, **kwargs)`` *trials* times.
 
-    ``processes=None`` (or 1) runs serially; an integer > 1 fans out
-    over a :mod:`multiprocessing` pool.  Either way trial ``i`` always
-    receives the same spawned seed, so serial and parallel runs return
-    identical values.
+    Trial ``i`` receives child ``i`` of ``spawn_seeds(seed, trials)``,
+    so its value depends on nothing but that seed and the static
+    arguments.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     kwargs = kwargs or {}
-    seeds = spawn_seeds(seed, trials)
-    payloads = [(fn, s, tuple(args), kwargs) for s in seeds]
-    if processes is None or processes <= 1:
-        values = np.array([_worker(p) for p in payloads])
-    else:
-        with _pool_context().Pool(processes=processes) as pool:
-            values = np.array(pool.map(_worker, payloads))
-    return summarize_trials(values)
+    values = [float(fn(s, *args, **kwargs)) for s in spawn_seeds(seed, trials)]
+    return summarize_trials(np.array(values))
 
 
 def _pool_context() -> mp.context.BaseContext:

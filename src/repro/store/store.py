@@ -43,6 +43,7 @@ a lightweight :class:`Frame` with ``filter``/``sort_by``/``column``/
 from __future__ import annotations
 
 import json
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -524,6 +525,13 @@ class ResultStore:
         self._cache: dict[str, dict[str, Any]] = {}
         self._loaded_shards: set[str] = set()
         self._all_loaded = self.backend is None
+        # a shard (or the whole store) is marked loaded only after its
+        # records are in the cache, so a thread that sees the mark never
+        # reads a half-loaded cache; the lock is held per shard, and
+        # refresh() bumps the generation so a whole-store load that
+        # straddles it does not mark the store loaded
+        self._load_lock = threading.Lock()
+        self._generation = 0
         if self.backend is not None:
             blob = self.backend.read_blob("meta.json")
             if blob is not None:
@@ -566,21 +574,23 @@ class ResultStore:
     def _load_shard(self, prefix: str) -> None:
         if self.backend is None or prefix in self._loaded_shards:
             return
-        self._loaded_shards.add(prefix)
-        blob = self.backend.read_blob(self._shard_key(prefix))
-        if blob is None:
-            return
-        bad = 0
-        for line in blob[0].decode("utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = parse_record(line)
-            except ValueError:
-                bad += 1
-                continue
-            self._cache[record["hash"]] = record
+        with self._load_lock:
+            if prefix in self._loaded_shards:
+                return
+            blob = self.backend.read_blob(self._shard_key(prefix))
+            text = blob[0].decode("utf-8") if blob is not None else ""
+            bad = 0
+            for line in text.splitlines():
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = parse_record(line)
+                except ValueError:
+                    bad += 1
+                    continue
+                self._cache[record["hash"]] = record
+            self._loaded_shards.add(prefix)
         if bad:
             warnings.warn(
                 f"store shard {self._shard_key(prefix)} had {bad} corrupt "
@@ -591,10 +601,13 @@ class ResultStore:
     def _load_all(self) -> None:
         if self._all_loaded:
             return
-        self._all_loaded = True
         assert self.backend is not None
+        generation = self._generation
         for key in self.shard_keys():
             self._load_shard(key.rsplit("/", 1)[-1].removesuffix(".jsonl"))
+        with self._load_lock:
+            if self._generation == generation:
+                self._all_loaded = True
 
     # ------------------------------------------------------------------
     # the store API
@@ -694,8 +707,10 @@ class ResultStore:
         """
         if self.backend is None:
             return
-        self._loaded_shards.clear()
-        self._all_loaded = False
+        with self._load_lock:
+            self._generation += 1
+            self._loaded_shards.clear()
+            self._all_loaded = False
 
     def shard_keys(self) -> list[str]:
         """Existing shard blob keys, sorted (``[]`` for memory stores).

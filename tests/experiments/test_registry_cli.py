@@ -88,16 +88,25 @@ class TestCli:
         assert entry["scale"] == "quick" and entry["seed"] == 1
         assert isinstance(entry["findings"], dict) and entry["findings"]
 
-    def test_run_processes_flag(self, capsys):
-        from repro.sim import get_default_processes, set_default_processes
-
-        try:
-            assert main(["run", "TREES_kary", "--processes", "2"]) == 0
-            assert get_default_processes() == 2
-        finally:
-            set_default_processes(None)
-        out = capsys.readouterr().out
-        assert "TREES_kary" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "TREES_kary", "--processes", "2"],
+            ["sweep", "run", "DEMO_grid2x2", "--shards", "2"],
+            ["sweep", "work", "DEMO_grid2x2", "--max-workers", "2"],
+        ],
+        ids=["processes", "shards", "max-workers"],
+    )
+    def test_removed_fanout_flags_exit_2(self, argv, tmp_path, capsys):
+        # no launch flag may change how a cell's trials execute: the
+        # retired fan-out flags are argparse usage errors, not no-ops
+        if argv[0] == "sweep":
+            argv = argv + ["--store", str(tmp_path / "s")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_processes_command(self, capsys):
         assert main(["processes"]) == 0

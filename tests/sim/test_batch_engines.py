@@ -131,7 +131,7 @@ class TestAutoSelection:
 
 
 class TestHitTargetValidation:
-    """run_batch must reject bad targets before any fan-out."""
+    """run_batch must reject bad targets before any trial runs."""
 
     def test_missing_target(self, g):
         with pytest.raises(ValueError, match="target"):
@@ -142,9 +142,10 @@ class TestHitTargetValidation:
             run_batch(g, "cobra", trials=2, metric="hit", target=g.n)
 
     def test_rejected_before_pool_fanout(self, g):
-        # processes=4 would previously explode inside the workers
+        # the per-trial path checks the target before its first trial
+        # too, instead of failing inside a stepping process
         with pytest.raises(ValueError, match="target"):
-            run_batch(g, "cobra", trials=2, metric="hit", target=-1, processes=4)
+            run_batch(g, "cobra", trials=2, metric="hit", target=-1, strategy="serial")
 
 
 class TestGossipEngine:

@@ -20,12 +20,10 @@ from repro.sim import (
     RunResult,
     SteppingProcess,
     batched_cobra_cover_trials,
-    get_default_processes,
     get_process,
     process_names,
     register_process,
     run_batch,
-    set_default_processes,
     simulate,
 )
 from repro.sim.facade import select_execution_path
@@ -192,11 +190,6 @@ class TestRunBatch:
         ]
         assert np.array_equal(s.values, np.array(ref, dtype=np.float64))
 
-    def test_pool_matches_serial(self, g):
-        ser = run_batch(g, "walt", trials=4, seed=5, strategy="serial")
-        par = run_batch(g, "walt", trials=4, seed=5, strategy="serial", processes=2)
-        assert np.array_equal(ser.values, par.values)
-
     def test_vectorized_matches_serial_distributionally(self):
         gg = grid(8, 2)
         vec = run_batch(gg, "cobra", trials=64, seed=17, strategy="vectorized")
@@ -250,24 +243,24 @@ class TestRunBatch:
         ref = run_batch(g, "cobra", trials=3, seed=8, strategy="serial")
         assert np.array_equal(s.values, ref.values)
 
-    def test_default_processes_roundtrip(self):
-        assert get_default_processes() is None
-        set_default_processes(2)
-        try:
-            assert get_default_processes() == 2
-        finally:
-            set_default_processes(None)
-        with pytest.raises(ValueError):
-            set_default_processes(0)
+    @pytest.mark.parametrize("option", ["shards", "processes", "max_workers"])
+    def test_removed_fanout_options_raise(self, g, option):
+        # the retired executor options are not silently forwarded as
+        # process parameters: every engine and factory rejects them
+        with pytest.raises(TypeError, match=option):
+            run_batch(g, "cobra", trials=2, seed=1, **{option: 2})
+        with pytest.raises(TypeError, match=option):
+            run_batch(g, "cobra", trials=2, seed=1, strategy="serial", **{option: 2})
 
 
 class TestSelectExecutionPath:
     def test_returns_each_path(self):
         spec = get_process("cobra")
         assert select_execution_path(spec, "cover") == "vectorized"
-        assert select_execution_path(spec, "cover", shards=3) == "sharded"
-        assert select_execution_path(spec, "cover", processes=4) == "pool"
         assert select_execution_path(spec, "cover", strategy="serial") == "serial"
+        # no batched engine for the metric: auto falls back to serial
+        assert select_execution_path(get_process("parallel"), "hit") == "serial"
+        assert select_execution_path(get_process("coalescing"), "coalesce") == "serial"
 
 
 class TestBatchedEngine:

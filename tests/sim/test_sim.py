@@ -109,11 +109,6 @@ class TestMonteCarlo:
         b = run_trials(_trial_mean_of_uniform, 10, seed=1, args=(2.0,))
         assert np.array_equal(a.values, b.values)
 
-    def test_parallel_matches_serial(self):
-        ser = run_trials(_trial_mean_of_uniform, 12, seed=2, args=(1.0,))
-        par = run_trials(_trial_mean_of_uniform, 12, seed=2, args=(1.0,), processes=3)
-        assert np.allclose(ser.values, par.values)
-
     def test_summary_fields(self):
         s = summarize_trials(np.array([1.0, 2.0, 3.0, np.nan]))
         assert s.mean == pytest.approx(2.0)

@@ -229,15 +229,3 @@ class TestStatusAndProvenance:
         frame = store.frame()
         assert set(frame.column("target")) == {"center"}
         assert all(v is not None for v in frame.column("mean"))
-
-    def test_sharded_campaign_matches_unsharded_values(self):
-        spec = make_spec(graph_grid={"n": [6], "d": [2]}, params_grid={"k": [2]})
-        plain, sharded = ResultStore(), ResultStore()
-        Campaign(spec, plain).run()
-        Campaign(spec, sharded, shards=2, max_workers=1).run()
-        cell = spec.expand()[0]
-        # sharded execution uses per-trial streams; unsharded auto uses
-        # the vectorized engine — same cell key either way, and the
-        # sharded label lands in provenance
-        assert sharded.get(cell)["provenance"]["engine"] == "sharded(shards=2)"
-        assert len(sharded.get(cell)["result"]["values"]) == 3

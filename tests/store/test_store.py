@@ -1,6 +1,8 @@
 """ResultStore persistence, corruption tolerance, and the Frame API."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -72,6 +74,82 @@ class TestRoundTrip:
         again = ResultStore(tmp_path / "s")
         again.get(cells[0])
         assert len(again._loaded_shards) == 1
+
+
+@pytest.fixture(scope="module")
+def store_400(tmp_path_factory):
+    """A LocalBackend store of 400 records, for cold-load races."""
+    keys = SweepSpec(
+        name="demo",
+        process="cobra",
+        graph="grid",
+        graph_grid={"n": list(range(4, 104)), "d": [2]},
+        params_grid={"k": [1, 2, 3, 4]},
+        trials=3,
+        seed=SeedPolicy(root=3),
+    ).expand()
+    root = tmp_path_factory.mktemp("race") / "s"
+    store = ResultStore(root)
+    for key in keys:
+        put_fake(store, key, [1.0, 2.0, 3.0])
+    return root, keys
+
+
+def _race(n_threads, fn):
+    """Run ``fn(i)`` on *n_threads* threads released together by a
+    barrier, at a short switch interval; return the results in thread
+    order."""
+    barrier = threading.Barrier(n_threads)
+    out = [None] * n_threads
+    errors = []
+
+    def body(i):
+        barrier.wait(timeout=30)
+        try:
+            out[i] = fn(i)
+        except Exception as exc:  # surfaced below, in the test thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=body, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    return out
+
+
+class TestConcurrentColdLoad:
+    """Threads sharing one cold store (the ``sweep serve`` case) must
+    each see every stored record: a shard, or the whole store, is
+    marked loaded only once its records are in the cache."""
+
+    def test_cold_frames_are_complete(self, store_400):
+        root, keys = store_400
+        for _ in range(10):
+            store = ResultStore(root)
+            rows = _race(4, lambda i: len(store.frame()))
+            assert rows == [len(keys)] * 4
+
+    def test_cold_gets_in_one_shard_both_hit(self, store_400):
+        root, keys = store_400
+        by_prefix = {}
+        for key in keys:
+            by_prefix.setdefault(key.hash[:2], []).append(key)
+        pair = next(ks[:2] for ks in by_prefix.values() if len(ks) >= 2)
+        for _ in range(20):
+            store = ResultStore(root)
+            records = _race(2, lambda i: store.get(pair[i]))
+            assert [r["hash"] if r else None for r in records] == [
+                k.hash for k in pair
+            ]
 
 
 class TestCorruption:
@@ -219,18 +297,19 @@ class TestFrame:
 
 
 class TestOldBackendRecords:
-    """Records stamped by the retired compiled backend still load.
+    """Records stamped by retired engines and backends still load.
 
-    ``backend`` was never hashed into cell keys, so an old record is
-    an ordinary record whose provenance names another backend.  New
-    records keep stamping ``backend: "numpy"``, so the Frame column and
-    the report grouping keep their meaning in mixed stores.
+    Neither ``engine`` nor ``backend`` was ever hashed into cell keys,
+    so an old record is an ordinary record whose provenance names a
+    path this code no longer takes: the compiled backend, the sharded
+    executor, or the per-trial process pool.  New records keep
+    stamping ``backend: "numpy"`` and a ``vectorized``/``serial``
+    engine, so the Frame columns and the report grouping keep their
+    meaning in mixed stores.
     """
 
-    OLD_PROVENANCE = {
+    BASE_PROVENANCE = {
         "sweep": "demo",
-        "engine": "vectorized[numba]",
-        "backend": "numba",
         "worker": "old-host-1",
         "wall_time_s": 0.2,
         "phase_s": {"build_graph": 0.01, "lower": 0.01, "engine": 0.2},
@@ -238,6 +317,12 @@ class TestOldBackendRecords:
         "graph_n": 49,
         "graph_kind": "csr",
     }
+    #: (engine, backend) stamps of the retired paths, one old record each
+    OLD_STAMPS = (
+        ("vectorized[numba]", "numba"),
+        ("sharded(shards=2)", "numpy"),
+        ("pool(processes=4)", "numpy"),
+    )
 
     @pytest.fixture()
     def mixed(self, tmp_path):
@@ -251,22 +336,25 @@ class TestOldBackendRecords:
             trials=3,
             seed=SeedPolicy(root=3),
         )
-        old_key = SweepSpec(
+        old_keys = SweepSpec(
             name="demo",
             process="cobra",
             graph="grid",
-            graph_grid={"n": [8], "d": [2]},
+            graph_grid={"n": [8, 10, 12], "d": [2]},
             trials=3,
             seed=SeedPolicy(root=3),
-        ).expand()[0]
+        ).expand()
         store = ResultStore(tmp_path / "s")
         Campaign(spec, store).run()
-        store.put(
-            old_key,
-            summarize_trials(np.array([5.0, 6.0, 7.0])),
-            dict(self.OLD_PROVENANCE),
-        )
-        return ResultStore(tmp_path / "s"), spec.expand()[0], old_key
+        old = {}
+        for key, (engine, backend) in zip(old_keys, self.OLD_STAMPS):
+            store.put(
+                key,
+                summarize_trials(np.array([5.0, 6.0, 7.0])),
+                {**self.BASE_PROVENANCE, "engine": engine, "backend": backend},
+            )
+            old[engine] = key
+        return ResultStore(tmp_path / "s"), spec.expand()[0], old
 
     def test_new_records_stamp_numpy(self, mixed):
         store, new_key, _ = mixed
@@ -275,27 +363,32 @@ class TestOldBackendRecords:
         assert prov["backend"] == "numpy"
 
     def test_old_record_loads_through_get_and_frame(self, mixed):
-        store, _, old_key = mixed
-        record = store.get(old_key)
-        assert record["provenance"]["backend"] == "numba"
-        assert record["result"]["mean"] == 6.0
+        store, _, old = mixed
         rows = {row["hash"]: row for row in store.frame().rows}
-        assert rows[old_key.hash]["backend"] == "numba"
-        assert rows[old_key.hash]["engine"] == "vectorized[numba]"
-        assert sorted(store.frame().column("backend")) == ["numba", "numpy"]
+        for engine, backend in self.OLD_STAMPS:
+            record = store.get(old[engine])
+            assert record["provenance"]["engine"] == engine
+            assert record["provenance"]["backend"] == backend
+            assert record["result"]["mean"] == 6.0
+            assert rows[old[engine].hash]["engine"] == engine
+            assert rows[old[engine].hash]["backend"] == backend
+        assert sorted(store.frame().column("engine")) == sorted(
+            ["vectorized"] + [engine for engine, _ in self.OLD_STAMPS]
+        )
 
     def test_old_record_passes_fsck(self, mixed):
         from repro.store import fsck
 
         report = fsck(mixed[0])
-        assert report.clean and report.records == 2
+        assert report.clean and report.records == 1 + len(self.OLD_STAMPS)
         assert not report.duplicates
 
     def test_old_record_forms_its_own_report_group(self, mixed):
         from repro.obs import build_report
 
         report = build_report(mixed[0])
-        groups = {g["backend"]: g for g in report.groups}
-        assert set(groups) == {"numpy", "numba"}
-        assert groups["numba"]["cells"] == 1
-        assert groups["numba"]["max_worker"] == "old-host-1"
+        groups = {(g["engine"], g["backend"]): g for g in report.groups}
+        assert set(groups) == {("vectorized", "numpy"), *self.OLD_STAMPS}
+        for stamp in self.OLD_STAMPS:
+            assert groups[stamp]["cells"] == 1
+            assert groups[stamp]["max_worker"] == "old-host-1"

@@ -24,7 +24,7 @@ from repro.graphs import (
     random_tree,
     watts_strogatz,
 )
-from repro.sim import coverage_curve, run_trials
+from repro.sim import coverage_curve
 from repro.spectral import conductance_estimate, theorem8_epoch_length
 
 
@@ -96,23 +96,6 @@ class TestWaltAgainstCobraAcrossFamilies:
                 )
             )
             assert walt >= cobra * 0.9
-
-
-def _cover_trial(seed, n):
-    """Module-level for multiprocessing pickling."""
-    from repro.core import cobra_cover_time
-    from repro.graphs import grid as make_grid
-
-    res = cobra_cover_time(make_grid(n, 2), seed=seed)
-    return float(res.cover_time)
-
-
-class TestMonteCarloHarnessWithRealProcess:
-    def test_parallel_trials_reproduce_serial(self):
-        ser = run_trials(_cover_trial, 6, seed=31, args=(10,))
-        par = run_trials(_cover_trial, 6, seed=31, args=(10,), processes=2)
-        assert np.array_equal(ser.values, par.values)
-        assert ser.failures == 0
 
 
 class TestScalingPipeline:
